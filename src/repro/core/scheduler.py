@@ -294,16 +294,21 @@ def scheduler_main(ctx: ProcessContext, state: SchedulerState) -> None:
                            old_vmid=rec.old_vmid))
 
         elif isinstance(msg, MigrationCommit):
-            try:
-                rec = state.current_record(msg.rank)
+            # Matched by the committing process's vmid, like
+            # RestoreComplete: a retransmit must not close a later window
+            # the first commit let admission open for the same rank.
+            rec = next((r for r in reversed(state.migrations)
+                        if r.rank == msg.rank
+                        and r.new_vmid == item.src_vmid), None)
+            if rec is None or rec.aborted or rec.completed:
+                vm.trace_record(ctx.name, "scheduler_dup_reack",
+                                msg="MigrationCommit", rank=msg.rank)
+            else:
                 rec.t_committed = ctx.kernel.now
                 vm.trace_record(ctx.name, "migration_committed",
                                 rank=msg.rank)
                 _dispatch_admitted(ctx, state,
                                    state.admission.complete(msg.rank))
-            except LookupError:
-                vm.trace_record(ctx.name, "scheduler_dup_reack",
-                                msg="MigrationCommit", rank=msg.rank)
             if msg.ack:
                 ctx.route_control(item.src_vmid,
                                   SchedulerAck("migration_commit", msg.rank))

@@ -2,7 +2,7 @@
 
 This module provides the deterministic concurrency substrate the whole
 reproduction runs on. Simulated processes are ordinary Python callables
-running on real OS threads, but the kernel steps exactly one thread at a
+running on real OS threads, but the kernel runs exactly one thread at a
 time and advances a *virtual clock*, so:
 
 * blocking code reads naturally (no ``yield``-style inversion), which keeps
@@ -15,25 +15,35 @@ time and advances a *virtual clock*, so:
   *detected* and reported rather than hanging the test suite — this is the
   instrument used to check the paper's Theorem 1.
 
-The design is a classic two-semaphore handshake: the kernel releases a
-thread's private semaphore to run it and then blocks on its own semaphore;
-the thread runs until it calls a blocking primitive (or finishes), at which
-point it releases the kernel's semaphore and blocks on its own. Under
-CPython only one of the two is ever runnable, so the handshake costs a
-single context switch per simulated event.
+Control moves by *direct handoff*. Every simulated thread owns a raw lock
+it sleeps on while it is not running. A thread that blocks makes the
+scheduling decision itself, on its own OS thread: it pops the FIFO ready
+queue (skipping finished threads) and, while that is empty, fires due
+timers in ``(time, sequence)`` order up to the ``run(until=)`` horizon.
+If the pick is the blocking thread itself — a ``sleep`` or compute charge
+with nothing else runnable — it simply carries on, with no OS switch at
+all. Otherwise it releases the chosen thread's lock and sleeps on its
+own: one OS context switch per simulated event. Control returns to the
+thread that called :meth:`Kernel.run` only when nothing is runnable
+(completion, deadlock or the time horizon), when a thread finishes, or
+when the kernel shuts down; that caller then makes the same decision with
+the same code, so the schedule does not depend on which OS thread made
+it. :attr:`Kernel.stats` counts the steps and how each was taken.
 """
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import threading
 from collections import deque
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 from repro.util.errors import DeadlockError, SimThreadError, SimulationError, ThreadKilled
 
-__all__ = ["Kernel", "SimThread", "TIMEOUT"]
+__all__ = ["Kernel", "KernelStats", "SimThread", "TIMEOUT"]
 
 
 class _Timeout:
@@ -54,6 +64,30 @@ _BLOCKED = "blocked"
 _FINISHED = "finished"
 
 
+def _held_lock() -> Any:
+    """A raw lock created held: ``release()`` signals, ``acquire()`` waits."""
+    lock = _thread.allocate_lock()
+    lock.acquire()
+    return lock
+
+
+@dataclass(slots=True)
+class KernelStats:
+    """How the kernel has dispatched its threads so far.
+
+    Every dispatch of a simulated thread is one of ``steps``, taken one of
+    three ways: an ``os_handoff`` (the blocking thread wakes its successor
+    directly: one OS context switch), an ``inline_resume`` (the blocking
+    thread picked itself and carried on: no switch), or a step of the
+    :meth:`Kernel.run` loop (a switch to the thread and, later, one back);
+    the loop's steps are ``steps - os_handoffs - inline_resumes``.
+    """
+
+    steps: int = 0
+    os_handoffs: int = 0
+    inline_resumes: int = 0
+
+
 class SimThread:
     """A simulated thread of control managed by a :class:`Kernel`.
 
@@ -72,7 +106,7 @@ class SimThread:
         self._fn = fn
         self._args = args
         self._kwargs = kwargs
-        self._sem = threading.Semaphore(0)
+        self._lock = _held_lock()
         self._real: threading.Thread | None = None
         self.state = _NEW
         #: description of what the thread is blocked on (for diagnostics)
@@ -144,9 +178,13 @@ class SimThread:
             self.exception = exc
         finally:
             self.state = _FINISHED
-            self.kernel._on_thread_finished(self)
-            # Hand control back to the kernel loop; the OS thread then exits.
-            self.kernel._kernel_sem.release()
+            kernel = self.kernel
+            kernel._on_thread_finished(self)
+            # Hand control back to the run() caller, which checks this
+            # thread's exception; the OS thread then exits.
+            kernel.current = None
+            kernel._finished = self
+            kernel._kernel_lock.release()
 
 
 class Kernel:
@@ -169,10 +207,19 @@ class Kernel:
         self._cancelled: set[int] = set()
         self._ready: deque[SimThread] = deque()
         self._threads: list[SimThread] = []
-        self._kernel_sem = threading.Semaphore(0)
+        # the run() caller sleeps on this while simulated threads run
+        self._kernel_lock = _held_lock()
         self.current: SimThread | None = None
         self._running = False
         self._shutdown = False
+        #: horizon of the current run(); blocking threads honour it too
+        self._until: float | None = None
+        #: thread whose finish handed control back to the run() caller
+        self._finished: SimThread | None = None
+        #: exception a timer callback raised on a simulated thread's OS
+        #: thread, re-raised by the run() caller
+        self._timer_error: BaseException | None = None
+        self.stats = KernelStats()
         #: optional repro.sim.trace.Trace recording scheduler-level events
         self.trace = trace
 
@@ -258,9 +305,13 @@ class Kernel:
 
         If *timeout* is given and expires first, returns :data:`TIMEOUT`.
         This is the single choke point every higher-level synchronization
-        object (events, queues, channels) is built on.
+        object (events, queues, channels) is built on. The calling thread
+        also picks who runs next (see the module docstring).
         """
         th = self._require_current()
+        if self._shutdown:
+            # unwinding from shutdown(): control may only go back to it
+            raise ThreadKilled()
         th.state = _BLOCKED
         th.wait_reason = reason
         th._wait_token += 1
@@ -270,9 +321,24 @@ class Kernel:
                 raise SimulationError(f"negative timeout {timeout}")
             self.call_later(
                 timeout, lambda: self._wake_if_token(th, token, TIMEOUT))
-        # hand control to the kernel and wait to be rescheduled
-        self._kernel_sem.release()
-        th._sem.acquire()
+        self.current = None
+        try:
+            nxt = self._next_runnable()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            # a timer callback failed: that is run()'s error, not ours
+            self._timer_error = exc
+            nxt = None
+        if nxt is th:
+            self.stats.steps += 1
+            self.stats.inline_resumes += 1
+            self.current = th
+        else:
+            if nxt is None:
+                self._kernel_lock.release()
+            else:
+                self.stats.os_handoffs += 1
+                self._dispatch(nxt)
+            th._lock.acquire()
         th.state = _RUNNING
         th.wait_reason = None
         if th._kill_requested:
@@ -324,20 +390,20 @@ class Kernel:
         if self._running:
             raise SimulationError("kernel.run() is not reentrant")
         self._running = True
+        self._until = until
         try:
             while True:
-                if self._ready:
-                    th = self._ready.popleft()
-                    if th.state == _FINISHED:
-                        continue
+                th = self._next_runnable()
+                if th is not None:
                     self._step(th)
-                    if raise_on_thread_error and th.exception is not None:
-                        raise SimThreadError(th.name, th.exception) \
-                            from th.exception
-                    continue
-                # no ready threads: advance the clock to the next live timer
-                fired = self._fire_next_timer(until)
-                if fired:
+                    err, self._timer_error = self._timer_error, None
+                    if err is not None:
+                        raise err
+                    done, self._finished = self._finished, None
+                    if raise_on_thread_error and done is not None \
+                            and done.exception is not None:
+                        raise SimThreadError(done.name, done.exception) \
+                            from done.exception
                     continue
                 live = [t for t in self._threads if t.alive and not t.daemon]
                 if not live:
@@ -362,10 +428,11 @@ class Kernel:
             self._cancelled.discard(seq)
         return self._timers[0][0] if self._timers else None
 
-    def _fire_next_timer(self, until: float | None) -> bool:
+    def _fire_next_timer(self) -> bool:
         when = self._peek_timer_time()
         if when is None:
             return False
+        until = self._until
         if until is not None and when > until:
             self._now = until
             return False
@@ -375,17 +442,33 @@ class Kernel:
         fn()
         return True
 
-    def _step(self, th: SimThread) -> None:
-        """Run one thread until it blocks or finishes."""
+    def _next_runnable(self) -> SimThread | None:
+        """Pop the next thread to run, firing due timers while none is
+        ready; ``None`` once nothing is runnable up to the horizon."""
+        ready = self._ready
+        while True:
+            while ready:
+                th = ready.popleft()
+                if th.state != _FINISHED:
+                    return th
+            if not self._fire_next_timer():
+                return None
+
+    def _dispatch(self, th: SimThread) -> None:
+        """Give *th* control; the caller must then wait or exit."""
+        self.stats.steps += 1
         self.current = th
-        if th.state == _READY and th._real is None:
-            th.state = _RUNNING
+        th.state = _RUNNING
+        if th._real is None:
             th._start_real()
         else:
-            th.state = _RUNNING
-            th._sem.release()
-        self._kernel_sem.acquire()
-        self.current = None
+            th._lock.release()
+
+    def _step(self, th: SimThread) -> None:
+        """Run *th* from the run() caller until control comes back: the
+        simulation may hand off through many threads before it does."""
+        self._dispatch(th)
+        self._kernel_lock.acquire()
 
     # -- teardown -------------------------------------------------------------
     def shutdown(self) -> None:
@@ -401,9 +484,10 @@ class Kernel:
             if th._real is None:
                 th.state = _FINISHED
                 continue
-            th._sem.release()
-            self._kernel_sem.acquire(timeout=5.0)
+            th._lock.release()
+            self._kernel_lock.acquire(timeout=5.0)
             th._real.join(timeout=5.0)
+        self._finished = None
         self._ready.clear()
         self._timers.clear()
 

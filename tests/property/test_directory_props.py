@@ -12,7 +12,7 @@ scheduler's committed record).
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import Application, FaultPlan, RetryPolicy, VirtualMachine
 from repro.analysis import check_invariants
@@ -113,6 +113,11 @@ def test_lookup_returns_committed_location_after_k_migrations(
                   st.integers(0, 6)),
         min_size=1, max_size=3),
 )
+# A dropped SchedulerAck makes p0.m1 retransmit its MigrationCommit after
+# that commit already let rank 0's queued second migration open; the
+# retransmit must not close the new window.
+@example(backend="sharded", seed=3422, count=6,
+         migrations=[(0.0625, 0, 0), (0.00390625, 0, 0)])
 def test_lookup_contract_survives_drop_dup_adversary(
         backend, seed, count, migrations):
     """Distributed backends under a >=5% drop + dup fault plan: the

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
-from repro.sim import TIMEOUT, Kernel, SimEvent
+from repro.sim import TIMEOUT, Kernel, SimEvent, SimQueue
 from repro.util.errors import DeadlockError, SimThreadError, SimulationError
 
 
@@ -370,3 +373,242 @@ def test_timeout_sentinel_distinct_from_values(kernel):
     kernel.run()
     assert got == [False]
     assert TIMEOUT is not False and TIMEOUT is not None
+
+
+# -- direct handoff: counters ----------------------------------------------
+
+def test_lone_sleeper_never_switches_threads(kernel):
+    def body():
+        kernel.sleep(1.0)
+        kernel.sleep(1.0)
+
+    kernel.spawn(body)
+    kernel.run()
+    # the run loop starts it; both wake-ups resume it in place
+    assert (kernel.stats.steps, kernel.stats.os_handoffs,
+            kernel.stats.inline_resumes) == (3, 0, 2)
+
+
+def test_yield_ping_pong_hands_off_once_per_yield(kernel):
+    n = 50
+
+    def body():
+        for _ in range(n):
+            kernel.yield_now()
+
+    kernel.spawn(body)
+    kernel.spawn(body)
+    kernel.run()
+    # one direct switch per yield; the run loop starts the first thread
+    # and resumes the second after the first finishes
+    assert kernel.stats.os_handoffs == 2 * n
+    assert kernel.stats.steps == 2 * n + 2
+    assert kernel.stats.inline_resumes == 0
+
+
+# -- direct handoff: dispatching from simulated threads ----------------------
+
+def _handoff_to_raiser(kernel):
+    """'a' yields straight to 'b', which raises: the run loop never
+    steps 'b' itself."""
+    log = []
+
+    def a():
+        log.append("a0")
+        kernel.yield_now()
+        log.append("a1")
+
+    def b():
+        log.append("b")
+        raise ValueError("boom")
+
+    return log, kernel.spawn(a, name="a"), kernel.spawn(b, name="b")
+
+
+def test_error_in_thread_reached_by_handoff_names_that_thread(kernel):
+    log, _, _ = _handoff_to_raiser(kernel)
+    with pytest.raises(SimThreadError) as ei:
+        kernel.run()
+    assert ei.value.thread_name == "b"
+    assert isinstance(ei.value.original, ValueError)
+    assert kernel.stats.os_handoffs == 1
+    assert log == ["a0", "b"]
+
+
+def test_error_in_thread_reached_by_handoff_can_be_collected(kernel):
+    log, a, b = _handoff_to_raiser(kernel)
+    kernel.run(raise_on_thread_error=False)
+    assert isinstance(b.exception, ValueError)
+    assert a.exception is None and not a.alive
+    assert log == ["a0", "b", "a1"]
+
+
+def test_run_until_horizon_reached_inside_inline_dispatch(kernel):
+    log = []
+
+    def body():
+        for _ in range(3):
+            kernel.sleep(1.0)
+            log.append(kernel.now)
+
+    th = kernel.spawn(body)
+    kernel.run(until=1.5)
+    # woken in place at 1.0; its next timer lies past the horizon
+    assert log == [1.0] and kernel.now == 1.5 and th.alive
+    assert kernel.stats.inline_resumes == 1
+    kernel.run()
+    assert log == [1.0, 2.0, 3.0] and not th.alive
+
+
+def test_kill_from_timer_fired_by_the_victim_itself(kernel):
+    cleaned = []
+
+    def sleeper():
+        try:
+            kernel.sleep(10.0)
+        finally:
+            cleaned.append(kernel.now)
+
+    th = kernel.spawn(sleeper)
+    kernel.call_later(1.0, th.kill)
+    kernel.run()
+    assert cleaned == [1.0] and not th.alive and th.exception is None
+
+
+def test_kill_from_timer_fired_by_another_thread(kernel):
+    ev = SimEvent(kernel, "never")
+    log = []
+
+    def waiter():
+        try:
+            ev.wait()
+        finally:
+            log.append(("waiter-killed", kernel.now))
+
+    def sleeper():
+        kernel.sleep(2.0)
+        log.append(("sleeper-done", kernel.now))
+
+    victim = kernel.spawn(waiter)
+    kernel.spawn(sleeper)
+    kernel.call_later(1.0, victim.kill)
+    kernel.run()
+    assert log == [("waiter-killed", 1.0), ("sleeper-done", 2.0)]
+
+
+def test_shutdown_mid_handoff_leaves_no_live_os_thread():
+    k = Kernel()
+    ev = SimEvent(k, "never")
+    cleaned = []
+
+    def spinner(name):
+        try:
+            for _ in range(1000):
+                k.yield_now()
+        finally:
+            cleaned.append(name)
+
+    def waiter(name):
+        try:
+            ev.wait()
+        finally:
+            cleaned.append(name)
+
+    def stubborn():
+        try:
+            ev.wait()
+        finally:
+            cleaned.append("stubborn")
+            k.sleep(1.0)  # blocking while shut down: killed again at once
+            cleaned.append("unreachable")
+
+    def crasher():
+        raise RuntimeError("crash while the others wait on a handoff")
+
+    for i in range(3):
+        k.spawn(spinner, f"spin{i}", name=f"mid-handoff-spin{i}")
+    k.spawn(waiter, "wait", name="mid-handoff-wait")
+    k.spawn(stubborn, name="mid-handoff-stubborn")
+    k.spawn(crasher, name="mid-handoff-crash")
+    k.spawn(waiter, "late", name="mid-handoff-late")  # never starts
+    with pytest.raises(SimThreadError):
+        k.run()
+    k.shutdown()
+    assert sorted(cleaned) == ["spin0", "spin1", "spin2", "stubborn", "wait"]
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("sim:mid-handoff-")]
+
+
+def test_blocking_from_timer_fired_on_a_simulated_thread_rejected(kernel):
+    def body():
+        kernel.sleep(2.0)
+
+    kernel.spawn(body)
+    # fired from body's own OS thread while it picks its successor
+    kernel.call_later(1.0, lambda: kernel.sleep(1.0))
+    with pytest.raises(SimulationError) as ei:
+        kernel.run()
+    # raised by the callback, out of run(): body did not die of it
+    assert ei.type is SimulationError
+
+
+def test_blocking_from_foreign_os_thread_rejected(kernel):
+    errors = []
+
+    def foreign():
+        try:
+            kernel.sleep(1.0)
+        except SimulationError as exc:
+            errors.append(exc)
+
+    def body():
+        t = threading.Thread(target=foreign)
+        t.start()
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+
+    kernel.spawn(body)
+    kernel.run()
+    assert len(errors) == 1
+
+
+def _mixed_program(nthreads):
+    """Threads mixing yields, sleeps, queue hand-offs and new spawns."""
+    k = Kernel()
+    q = SimQueue(k, name="q")
+    log = []
+
+    def worker(i):
+        for j in range(20):
+            if (i + j) % 3 == 0:
+                k.yield_now()
+            elif (i + j) % 3 == 1:
+                k.sleep(0.001 * ((i * j) % 5))
+            else:
+                q.put((i, j))
+                log.append(("got", i, q.get()))
+            log.append((i, j, k.now))
+        if i % 4 == 0:  # started by a handoff from a simulated thread
+            k.spawn(lambda: log.append(("child", i, k.now)))
+
+    for i in range(nthreads):
+        k.spawn(worker, i)
+    try:
+        k.run()
+        return log, k.stats
+    finally:
+        k.shutdown()
+
+
+def test_handoff_deterministic_under_tiny_switch_interval():
+    """Many more OS threads than cores, with the interpreter switching
+    threads as often as it can: every run keeps the same schedule."""
+    log, stats = _mixed_program(16)
+    assert sum(1 for e in log if e[0] == "child") == 4
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_mixed_program(16) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(saved)
+    assert runs == [(log, stats)] * 3

@@ -43,6 +43,10 @@ def env(kernel):
     return vm, pl, state, sched, spawned
 
 
+#: every initialized process the fixture spawns on h1 (commits come from it)
+INIT_VMID = VmId("h1", 99)
+
+
 def _client(vm, host, fn):
     """Spawn a probe process running fn(ctx) and drive the sim."""
     vm.spawn(host, fn, name="probe")
@@ -179,7 +183,7 @@ def test_concurrency_cap_queues_then_dispatches_on_commit(env):
         ctx.compute(0.02)
         assert [r for r, _, _ in spawned] == [0]  # cap held rank 1 back
         sched.mailbox.put(ControlEnvelope(
-            VmId("user", 0), MigrationCommit(rank=0)))
+            INIT_VMID, MigrationCommit(rank=0)))
         ctx.compute(0.02)
 
     vm.spawn("h0", _running_rank(pl, state, 0), name="t0", rank=0)
@@ -214,7 +218,7 @@ def test_queued_request_dropped_when_rank_stops_running(env):
         ctx.compute(0.02)
         state.status[1] = STATUS_TERMINATED  # dies while queued
         sched.mailbox.put(ControlEnvelope(
-            VmId("user", 0), MigrationCommit(rank=0)))
+            INIT_VMID, MigrationCommit(rank=0)))
         ctx.compute(0.02)
 
     vm.spawn("h0", _running_rank(pl, state, 0), name="t0", rank=0)
@@ -225,6 +229,44 @@ def test_queued_request_dropped_when_rank_stops_running(env):
     ignored = [e for e in vm.trace.events
                if e.kind == "migrate_request_ignored"]
     assert any(e.detail["rank"] == 1 for e in ignored)
+    assert not state.admission.inflight and not state.admission.pending
+
+
+def test_retransmitted_commit_leaves_next_window_open(env):
+    """A MigrationCommit retransmitted after its window closed (its
+    SchedulerAck was lost) is re-acked only: it must not close the same
+    rank's next window, which the first commit let admission open."""
+    vm, pl, state, sched, _ = env
+    first, second = VmId("h1", 101), VmId("h1", 102)
+    vmids = iter([first, second])
+    state.spawn_initialized = lambda rank, host: next(vmids)
+
+    def probe(ctx):
+        ctx.compute(0.01)
+        for _ in range(2):  # the second request queues behind the first
+            sched.mailbox.put(ControlEnvelope(
+                VmId("user", 0), MigrateRequest(rank=0, dest_host="h1")))
+        ctx.compute(0.02)
+        sched.mailbox.put(ControlEnvelope(first, MigrationCommit(rank=0)))
+        ctx.compute(0.02)
+        assert len(state.migrations) == 2  # the commit opened window 2
+        sched.mailbox.put(ControlEnvelope(first, MigrationCommit(rank=0)))
+        ctx.compute(0.02)
+        assert state.current_record(0) is state.migrations[1]
+        assert 0 in state.admission.inflight
+        sched.mailbox.put(ControlEnvelope(second, MigrationCommit(rank=0)))
+        ctx.compute(0.02)
+
+    vm.spawn("h0", _running_rank(pl, state, 0, duration=0.2), name="t0",
+             rank=0)
+    vm.spawn("h1", probe, name="probe")
+    vm.run()
+    assert [r.new_vmid for r in state.migrations] == [first, second]
+    assert all(r.completed for r in state.migrations)
+    assert state.migrations[0].t_committed < state.migrations[1].t_committed
+    assert vm.trace.count("migration_committed") == 2
+    reacks = [e for e in vm.trace.events if e.kind == "scheduler_dup_reack"]
+    assert [e.detail["msg"] for e in reacks] == ["MigrationCommit"]
     assert not state.admission.inflight and not state.admission.pending
 
 
